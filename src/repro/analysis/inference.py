@@ -187,7 +187,7 @@ def gamma_pseudo_likelihood(
     admit a single assignment and carry no information.  Each term is
     concave in ``log γ``, so the sum is concave and unimodal.
     """
-    from repro.core.separation_chain import evaluate_swap
+    from repro.core.moves import evaluate_swap
 
     total = 0.0
     for system in systems:

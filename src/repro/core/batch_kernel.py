@@ -54,7 +54,7 @@ from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.core.separation_chain import (
+from repro.core.moves import (
     MOVE_DELTA,
     RING_OFFSETS,
     _MOVE_REJECT,

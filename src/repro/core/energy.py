@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from repro.core.separation_chain import (
+from repro.core.moves import (
     DST_RING_INDICES,
-    E_DST,
-    E_SRC,
-    MOVE_OK,
-    RING_OFFSETS,
     SRC_RING_INDICES,
+    move_deltas,
+    read_ring,
+    swap_exponent,
 )
 from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node
 from repro.system.configuration import ParticleSystem
@@ -246,18 +245,11 @@ class EnergyChain:
         if dst_color is not None and (not self.swaps or dst_color == ci):
             return False
 
-        ring_colors = []
-        mask = 0
-        bit = 1
-        for rdx, rdy in RING_OFFSETS[d]:
-            c = colors.get((x + rdx, y + rdy))
-            ring_colors.append(c)
-            if c is not None:
-                mask |= bit
-            bit <<= 1
+        ring_colors, mask = read_ring(colors, src, d)
 
         if dst_color is None:
-            if E_SRC[mask] == 5 or not MOVE_OK[mask]:
+            deltas = move_deltas(mask, ring_colors, ci)
+            if deltas is None:
                 return False
             delta = self.energy.move_delta(ci, ring_colors)
             if delta > 0 and random() >= math.exp(-delta):
@@ -265,38 +257,18 @@ class EnergyChain:
             del colors[src]
             colors[dst] = ci
             positions[idx] = dst
-            e_src, e_dst = E_SRC[mask], E_DST[mask]
-            system.edge_total += e_dst - e_src
-            hetero_src = sum(
-                1
-                for i in SRC_RING_INDICES
-                if ring_colors[i] is not None and ring_colors[i] != ci
-            )
-            hetero_dst = sum(
-                1
-                for i in DST_RING_INDICES
-                if ring_colors[i] is not None and ring_colors[i] != ci
-            )
-            system.hetero_total += hetero_dst - hetero_src
+            delta_e, delta_ei = deltas
+            system.edge_total += delta_e
+            system.hetero_total += delta_e - delta_ei
             self.accepted_moves += 1
             return True
 
-        cj = dst_color
-        delta = self.energy.swap_delta(ci, cj, ring_colors)
+        delta = self.energy.swap_delta(ci, dst_color, ring_colors)
         if delta > 0 and random() >= math.exp(-delta):
             return False
-        colors[src] = cj
+        colors[src] = dst_color
         colors[dst] = ci
-        hetero_delta = 0
-        for i in SRC_RING_INDICES:
-            c = ring_colors[i]
-            if c is not None:
-                hetero_delta += (c != cj) - (c != ci)
-        for i in DST_RING_INDICES:
-            c = ring_colors[i]
-            if c is not None:
-                hetero_delta += (c != ci) - (c != cj)
-        system.hetero_total += hetero_delta
+        system.hetero_total -= swap_exponent(ring_colors, ci, dst_color)
         self.accepted_swaps += 1
         return True
 

@@ -59,75 +59,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.moves import (
     DST_RING_INDICES,
+    E_DST,
+    E_SRC,
+    MOVE_DELTA,
+    MOVE_OK,
+    RING_OFFSETS,
     SRC_RING_INDICES,
-    move_allowed,
+    _MOVE_REJECT,
+    _clamped_power,
+    bias_ratio,
+    evaluate_move,
+    evaluate_swap,
+    move_deltas,
+    read_ring,
+    swap_exponent,
 )
-from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node, direction_between
+from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node
 from repro.system.configuration import ParticleSystem
 from repro.util.rng import RngLike, make_rng, uniform_chunk
-
-# ----------------------------------------------------------------------
-# Precomputed tables
-# ----------------------------------------------------------------------
-
-
-def _build_ring_offsets() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """For each move direction d, offsets of the 8 edge-ring nodes.
-
-    Offsets are relative to the source node; the ring index convention is
-    that of :func:`repro.lattice.triangular.edge_ring` (positions 0 and 4
-    are the common neighbors).
-    """
-    tables = []
-    for d in range(6):
-        vdx, vdy = NEIGHBOR_OFFSETS[d]
-        ring = []
-        # Position 0: common neighbor on the counterclockwise side.
-        ring.append(NEIGHBOR_OFFSETS[(d + 1) % 6])
-        # Positions 1-3: exclusive neighbors of the destination.
-        for step in (1, 0, 5):
-            dx, dy = NEIGHBOR_OFFSETS[(d + step) % 6]
-            ring.append((vdx + dx, vdy + dy))
-        # Position 4: common neighbor on the clockwise side.
-        ring.append(NEIGHBOR_OFFSETS[(d + 5) % 6])
-        # Positions 5-7: exclusive neighbors of the source.
-        for step in (4, 3, 2):
-            ring.append(NEIGHBOR_OFFSETS[(d + step) % 6])
-        tables.append(tuple(ring))
-    return tuple(tables)
-
-
-RING_OFFSETS = _build_ring_offsets()
-
-#: MOVE_OK[mask] — whether Property 4 or 5 holds for the ring occupancy
-#: bitmask (bit i set iff ring position i occupied).
-MOVE_OK: Tuple[bool, ...] = tuple(
-    move_allowed([bool(mask & (1 << i)) for i in range(8)])
-    for mask in range(256)
-)
-
-_SRC_MASK = sum(1 << i for i in SRC_RING_INDICES)
-_DST_MASK = sum(1 << i for i in DST_RING_INDICES)
-
-#: Number of occupied source-side / destination-side neighbors per mask.
-E_SRC: Tuple[int, ...] = tuple(bin(mask & _SRC_MASK).count("1") for mask in range(256))
-E_DST: Tuple[int, ...] = tuple(bin(mask & _DST_MASK).count("1") for mask in range(256))
-
-#: Sentinel marking a ring mask whose move proposal is always rejected
-#: (source has five neighbors, or Properties 4/5 fail).
-_MOVE_REJECT = 99
-
-#: Collapsed move table for the grid kernel: ``Δe = e' - e`` per ring
-#: mask, or ``_MOVE_REJECT`` when the move is disallowed.  Folds the
-#: three dict-kernel lookups (``E_SRC``/``MOVE_OK``/``E_DST``) and two
-#: branches into one lookup and one compare in the hot loop.
-MOVE_DELTA: Tuple[int, ...] = tuple(
-    (E_DST[mask] - E_SRC[mask])
-    if (E_SRC[mask] != 5 and MOVE_OK[mask])
-    else _MOVE_REJECT
-    for mask in range(256)
-)
-
 
 #: Uniform draws per refill of the batched run() fast path.
 _RNG_CHUNK = 4096
@@ -154,21 +103,6 @@ _GRID_MARGIN = 8
 _GRID_MIN_STEPS = 256
 
 
-def _clamped_power(base: float, exponent: int) -> float:
-    """``base ** exponent`` with overflow clamped to ``math.inf``.
-
-    ``float.__pow__`` raises ``OverflowError`` for results above the
-    float range (e.g. ``1e40 ** 10`` while building the swap table for
-    the large-γ limit of Theorem 14) but silently underflows to ``0.0``
-    below it; clamping the overflow side to ``inf`` makes both
-    directions total, so extreme-but-valid biases construct fine.
-    """
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
-
-
 @lru_cache(maxsize=None)
 def _power_table(base: float, max_abs_exponent: int) -> Tuple[float, ...]:
     """``table[k + max_abs_exponent] == base ** k`` for |k| <= max.
@@ -187,22 +121,6 @@ def _power_table(base: float, max_abs_exponent: int) -> Tuple[float, ...]:
         _clamped_power(base, k)
         for k in range(-max_abs_exponent, max_abs_exponent + 1)
     )
-
-
-def bias_ratio(lam: float, gamma: float, delta_e: int, delta_ei: int) -> float:
-    """:math:`\\lambda^{\\Delta e} \\gamma^{\\Delta e_i}`, overflow-safe.
-
-    Resolves the indeterminate ``inf * 0`` corner (one bias extremely
-    large, the other extremely small) in log space, which is where the
-    product is well defined.
-    """
-    ratio = _clamped_power(lam, delta_e) * _clamped_power(gamma, delta_ei)
-    if ratio != ratio:  # nan from inf * 0: resolve via logarithms
-        log_ratio = delta_e * math.log(lam) + delta_ei * math.log(gamma)
-        if log_ratio > 0.0:
-            return math.inf
-        return math.exp(log_ratio)
-    return ratio
 
 
 class SeparationChain:
@@ -378,73 +296,32 @@ class SeparationChain:
         if dst_color is not None and (not self.swaps or dst_color == ci):
             return False  # occupied target and no swap possible: no-op
 
-        ring_offsets = RING_OFFSETS[d]
-        ring_colors = []
-        mask = 0
-        bit = 1
-        for rdx, rdy in ring_offsets:
-            c = colors.get((x + rdx, y + rdy))
-            ring_colors.append(c)
-            if c is not None:
-                mask |= bit
-            bit <<= 1
+        ring_colors, mask = read_ring(colors, src, d)
 
         if dst_color is None:
             # --- Expansion move (Algorithm 1, lines 3-8) ---
-            e_src = E_SRC[mask]
-            if e_src == 5:
+            deltas = move_deltas(mask, ring_colors, ci)
+            if deltas is None:
                 return False
-            if not MOVE_OK[mask]:
-                return False
-            e_dst = E_DST[mask]
-            ei_src = 0
-            for i in SRC_RING_INDICES:
-                if ring_colors[i] == ci:
-                    ei_src += 1
-            ei_dst = 0
-            for i in DST_RING_INDICES:
-                if ring_colors[i] == ci:
-                    ei_dst += 1
-            ratio = (
-                self._lam_pow[e_dst - e_src + 5]
-                * self._gam_pow[ei_dst - ei_src + 5]
-            )
-            if ratio != ratio:  # inf * 0 under extreme biases
-                log_ratio = (
-                    (e_dst - e_src) * self._log_lam
-                    + (ei_dst - ei_src) * self._log_gam
-                )
-                ratio = math.inf if log_ratio > 0.0 else math.exp(log_ratio)
+            delta_e, delta_ei = deltas
+            ratio = bias_ratio(self.lam, self.gamma, delta_e, delta_ei)
             if ratio < 1.0 and random() >= ratio:
                 return False
             # Accept: move the particle and update counters locally.
             del colors[src]
             colors[dst] = ci
             positions[idx] = dst
-            system.edge_total += e_dst - e_src
-            system.hetero_total += (e_dst - ei_dst) - (e_src - ei_src)
+            system.edge_total += delta_e
+            system.hetero_total += delta_e - delta_ei
             self.accepted_moves += 1
             return True
 
         # --- Swap move (Algorithm 1, lines 9-10) ---
-        cj = dst_color
-        expo = 0
-        for i in DST_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo += 1  # |N_i(l') \ {P}|
-            elif c == cj:
-                expo -= 1  # |N_j(l')|
-        for i in SRC_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo -= 1  # |N_i(l)|
-            elif c == cj:
-                expo += 1  # |N_j(l) \ {Q}|
-        ratio = self._gam_pow_swap[expo + 10]
+        expo = swap_exponent(ring_colors, ci, dst_color)
+        ratio = _clamped_power(self.gamma, expo)
         if ratio < 1.0 and random() >= ratio:
             return False
-        colors[src] = cj
+        colors[src] = dst_color
         colors[dst] = ci
         system.hetero_total -= expo
         self.accepted_swaps += 1
@@ -1606,85 +1483,6 @@ class SeparationChain:
             f"gamma={self.gamma}, swaps={self.swaps}, "
             f"iterations={self.iterations})"
         )
-
-
-# ----------------------------------------------------------------------
-# Pure move evaluation (shared with the exact-chain and distributed layers)
-# ----------------------------------------------------------------------
-
-
-def evaluate_move(
-    colors: Dict[Node, int],
-    src: Node,
-    dst: Node,
-    lam: float,
-    gamma: float,
-) -> Tuple[float, int, int]:
-    """Acceptance probability and (Δe, Δe_i) of a move ``src -> dst``.
-
-    Requires ``src`` occupied, ``dst`` an empty neighbor.  Returns
-    ``(probability, delta_edges, delta_same_color_edges)`` where the
-    probability already includes conditions (i) and (ii) — it is zero for
-    invalid moves.
-    """
-    ci = colors[src]
-    d = direction_between(src, dst)
-    x, y = src
-    ring_colors = []
-    mask = 0
-    bit = 1
-    for rdx, rdy in RING_OFFSETS[d]:
-        c = colors.get((x + rdx, y + rdy))
-        ring_colors.append(c)
-        if c is not None:
-            mask |= bit
-        bit <<= 1
-    e_src = E_SRC[mask]
-    if e_src == 5 or not MOVE_OK[mask]:
-        return 0.0, 0, 0
-    e_dst = E_DST[mask]
-    ei_src = sum(1 for i in SRC_RING_INDICES if ring_colors[i] == ci)
-    ei_dst = sum(1 for i in DST_RING_INDICES if ring_colors[i] == ci)
-    ratio = bias_ratio(lam, gamma, e_dst - e_src, ei_dst - ei_src)
-    return min(1.0, ratio), e_dst - e_src, ei_dst - ei_src
-
-
-def evaluate_swap(
-    colors: Dict[Node, int],
-    u: Node,
-    v: Node,
-    gamma: float,
-) -> Tuple[float, int]:
-    """Acceptance probability and Δa of swapping particles at ``u, v``.
-
-    Requires both nodes occupied by different colors.  Returns
-    ``(probability, delta_homogeneous_edges)``.  The exponent is symmetric
-    in ``u`` and ``v``, so either endpoint initiating yields the same
-    probability (used by the 1/(3n) factor in Lemma 9's proof).
-    """
-    ci = colors[u]
-    cj = colors[v]
-    if ci == cj:
-        raise ValueError("swap requires particles of different colors")
-    d = direction_between(u, v)
-    x, y = u
-    ring_colors = []
-    for rdx, rdy in RING_OFFSETS[d]:
-        ring_colors.append(colors.get((x + rdx, y + rdy)))
-    expo = 0
-    for i in DST_RING_INDICES:
-        c = ring_colors[i]
-        if c == ci:
-            expo += 1
-        elif c == cj:
-            expo -= 1
-    for i in SRC_RING_INDICES:
-        c = ring_colors[i]
-        if c == ci:
-            expo -= 1
-        elif c == cj:
-            expo += 1
-    return min(1.0, _clamped_power(gamma, expo)), expo
 
 
 def stationary_log_weight(

@@ -8,7 +8,9 @@ probability and property check in :math:`\\mathcal{M}` is strictly local.
 
 The decision logic intentionally re-derives the neighbor counts from the
 view rather than calling the optimized centralized helpers; the test
-suite then asserts the two implementations agree move-for-move.
+suite then asserts the two implementations agree move-for-move.  Only
+the Metropolis filter itself is shared (:func:`repro.core.moves.bias_ratio`),
+so extreme biases clamp the same way on every executor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.moves import property_4_reference, property_5_reference
+from repro.core.moves import (
+    _clamped_power,
+    bias_ratio,
+    property_4_reference,
+    property_5_reference,
+)
 from repro.distributed.local_view import LocalView
 from repro.lattice.triangular import Node, neighbors
 from repro.util.rng import random_unit
@@ -110,9 +117,8 @@ class ParticleAgent:
         e_dst_same = sum(
             1 for n in dst_neighbors if view.color_of(n) == my_color
         )
-        ratio = (
-            self.lam ** (e_dst - e_src)
-            * self.gamma ** (e_dst_same - e_src_same)
+        ratio = bias_ratio(
+            self.lam, self.gamma, e_dst - e_src, e_dst_same - e_src_same
         )
         q = random_unit(rng)
         if q < ratio:
@@ -146,6 +152,6 @@ class ParticleAgent:
 
         exponent = (their_same - own_same) + (own_other - their_other)
         q = random_unit(rng)
-        if q < self.gamma**exponent:
+        if q < _clamped_power(self.gamma, exponent):
             return SwapAction(a=src, b=dst)
         return NoAction("swap filter rejected")

@@ -42,12 +42,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.moves import move_allowed
-from repro.core.separation_chain import (
-    DST_RING_INDICES,
+from repro.core.moves import (
     E_SRC,
+    MOVE_OK,
     RING_OFFSETS,
-    SRC_RING_INDICES,
+    _clamped_power,
+    bias_ratio,
+    move_deltas,
+    swap_exponent,
 )
 from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node, direction_between
 from repro.system.configuration import ParticleSystem
@@ -156,37 +158,21 @@ class AmoebotSimulator:
                 ring_colors.append(self.particles[occupant].color)
                 mask |= bit
             bit <<= 1
-        if E_SRC[mask] == 5:
+        deltas = move_deltas(mask, ring_colors, particle.color)
+        if deltas is None:
             return "noop"
-        if not move_allowed([bool(mask & (1 << i)) for i in range(8)]):
-            return "noop"
-        e_src = E_SRC[mask]
-        e_dst = sum(1 for i in DST_RING_INDICES if ring_colors[i] is not None)
-        same_src = sum(
-            1 for i in SRC_RING_INDICES if ring_colors[i] == particle.color
-        )
-        same_dst = sum(
-            1 for i in DST_RING_INDICES if ring_colors[i] == particle.color
-        )
-        ratio = (self.lam ** (e_dst - e_src)) * (
-            self.gamma ** (same_dst - same_src)
-        )
+        ratio = bias_ratio(self.lam, self.gamma, *deltas)
         go_forward = ratio >= 1.0 or rng.random() < ratio
 
         # Physically expand; the committed decision rides in memory.
         particle.expand(dst)
         self._occupant[dst] = particle.pid
         particle.memory["contract_forward"] = go_forward
-        particle.memory["deltas"] = (
-            e_dst - e_src,
-            (e_dst - same_dst) - (e_src - same_src),
-        )
         self.expansions += 1
         return "expanded"
 
     def _contract(self, particle: Particle) -> str:
         forward = bool(particle.memory.pop("contract_forward", False))
-        particle.memory.pop("deltas", None)
         head, tail = particle.head, particle.tail
         if forward and not self._still_valid(particle):
             forward = False  # the world changed: abort the move
@@ -217,35 +203,20 @@ class AmoebotSimulator:
             if (x + rdx, y + rdy) in self._occupant:
                 mask |= bit
             bit <<= 1
-        if E_SRC[mask] == 5:
-            return False
-        return move_allowed([bool(mask & (1 << i)) for i in range(8)])
+        return E_SRC[mask] != 5 and MOVE_OK[mask]
 
     def _try_swap(self, particle: Particle, other: Particle, rng) -> str:
         src, dst = particle.head, other.head
         d = direction_between(src, dst)
         x, y = src
-        expo = 0
-        ci, cj = particle.color, other.color
         ring_colors = []
         for rdx, rdy in RING_OFFSETS[d]:
             occupant = self._occupant.get((x + rdx, y + rdy))
             ring_colors.append(
                 None if occupant is None else self.particles[occupant].color
             )
-        for i in DST_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo += 1
-            elif c == cj:
-                expo -= 1
-        for i in SRC_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo -= 1
-            elif c == cj:
-                expo += 1
-        ratio = self.gamma**expo
+        expo = swap_exponent(ring_colors, particle.color, other.color)
+        ratio = _clamped_power(self.gamma, expo)
         if ratio < 1.0 and rng.random() >= ratio:
             return "noop"
         particle.color, other.color = other.color, particle.color

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from repro.core.separation_chain import (
-    DST_RING_INDICES,
-    E_DST,
-    E_SRC,
-    MOVE_OK,
-    RING_OFFSETS,
-    SRC_RING_INDICES,
+from repro.core.moves import (
+    _clamped_power,
+    bias_ratio,
+    move_deltas,
+    read_ring,
+    swap_exponent,
 )
 from repro.lattice.triangular import NEIGHBOR_OFFSETS, Node
 from repro.system.configuration import ParticleSystem
@@ -127,58 +126,28 @@ class FaultyRunner:
             ):
                 return False
 
-        ring_colors = []
-        mask = 0
-        bit = 1
-        for rdx, rdy in RING_OFFSETS[d]:
-            c = colors.get((x + rdx, y + rdy))
-            ring_colors.append(c)
-            if c is not None:
-                mask |= bit
-            bit <<= 1
-
+        ring_colors, mask = read_ring(colors, src, d)
         if dst_color is None:
-            e_src = E_SRC[mask]
-            if e_src == 5 or not MOVE_OK[mask]:
+            deltas = move_deltas(mask, ring_colors, ci)
+            if deltas is None:
                 return False
-            e_dst = E_DST[mask]
-            same_src = sum(
-                1 for i in SRC_RING_INDICES if ring_colors[i] == ci
-            )
-            same_dst = sum(
-                1 for i in DST_RING_INDICES if ring_colors[i] == ci
-            )
-            ratio = (self.lam ** (e_dst - e_src)) * (
-                self.gamma ** (same_dst - same_src)
-            )
+            delta_e, delta_ei = deltas
+            ratio = bias_ratio(self.lam, self.gamma, delta_e, delta_ei)
             if ratio < 1.0 and random() >= ratio:
                 return False
             del colors[src]
             colors[dst] = ci
             positions[idx] = dst
-            system.edge_total += e_dst - e_src
-            system.hetero_total += (e_dst - same_dst) - (e_src - same_src)
+            system.edge_total += delta_e
+            system.hetero_total += delta_e - delta_ei
             self.accepted_moves += 1
             return True
 
-        cj = dst_color
-        expo = 0
-        for i in DST_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo += 1
-            elif c == cj:
-                expo -= 1
-        for i in SRC_RING_INDICES:
-            c = ring_colors[i]
-            if c == ci:
-                expo -= 1
-            elif c == cj:
-                expo += 1
-        ratio = self.gamma**expo
+        expo = swap_exponent(ring_colors, ci, dst_color)
+        ratio = _clamped_power(self.gamma, expo)
         if ratio < 1.0 and random() >= ratio:
             return False
-        colors[src] = cj
+        colors[src] = dst_color
         colors[dst] = ci
         system.hetero_total -= expo
         self.accepted_swaps += 1

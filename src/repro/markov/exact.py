@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.separation_chain import evaluate_move, evaluate_swap
+from repro.core.moves import evaluate_move, evaluate_swap
 from repro.lattice.triangular import NEIGHBOR_OFFSETS
 from repro.system.configuration import ParticleSystem
 from repro.markov.enumerate_configs import enumerate_colored_configurations

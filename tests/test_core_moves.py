@@ -1,21 +1,30 @@
-"""Tests for Properties 4 and 5 (move validity)."""
+"""Tests for Properties 4 and 5 (move validity) and Algorithm 1's rule."""
+
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.moves import (
     COMMON_RING_INDICES,
+    MOVE_DELTA,
+    _MOVE_REJECT,
     _circular_runs,
     move_allowed,
     move_allowed_between,
     move_allowed_reference,
+    move_deltas,
     property_4_reference,
     property_5_reference,
+    read_ring,
     ring_occupancy,
     satisfies_property_4,
     satisfies_property_5,
+    swap_exponent,
 )
-from repro.lattice.triangular import NEIGHBOR_OFFSETS, edge_ring
+from repro.core.separation_chain import SeparationChain
+from repro.lattice.triangular import NEIGHBOR_OFFSETS, edge_ring, neighbors
+from repro.system.configuration import ParticleSystem
 
 
 def _ring_world(mask):
@@ -156,3 +165,73 @@ class TestSpecificNeighborhoods:
         occ = ring_occupancy(colors, (0, 0), (1, 0))
         assert occ[0] is True  # (0,1) is the ccw common neighbor
         assert sum(occ) == 1
+
+
+def _neighbor_counts(colors, node, color, exclude):
+    """``(|N(node) \\ {exclude}|, |N_color(node) \\ {exclude}|)`` by lattice scan."""
+    occupied = [m for m in neighbors(node) if m in colors and m != exclude]
+    return len(occupied), sum(1 for m in occupied if colors[m] == color)
+
+
+class TestRuleTable:
+    """Exhaustive check of the shared acceptance rule.
+
+    Every one of the 3^8 ring colorings (empty, color 0, color 1) and
+    both mover colors, cycling through the six move directions: the
+    ring-table counts must equal Algorithm 1's counts taken from the
+    lattice's own ``neighbors()`` of ℓ and ℓ′, and the grid kernel's
+    tables must agree with them.
+    """
+
+    def test_counts_match_lattice_neighbors(self):
+        allowed = {}
+        for mask in range(256):
+            occupied, _, ref_src, ref_dst = _ring_world(mask)
+            allowed[mask] = move_allowed_reference(occupied, ref_src, ref_dst)
+        chain = SeparationChain(
+            ParticleSystem({(0, 0): 0, (1, 0): 1}), 2.0, 2.0, backend="grid"
+        )
+        chain._grid_build()
+        gswap_contrib = chain._gswap_contrib
+        for k, ring_values in enumerate(product((None, 0, 1), repeat=8)):
+            d = k % 6
+            src = (0, 0)
+            dst = NEIGHBOR_OFFSETS[d]
+            ring = edge_ring(src, dst)
+            for ci in (0, 1):
+                colors = {src: ci}
+                colors.update(
+                    (node, c) for node, c in zip(ring, ring_values) if c is not None
+                )
+                ring_colors, mask = read_ring(colors, src, d)
+                assert ring_colors == list(ring_values)
+
+                # Move into the empty ℓ′.
+                e_src, ei_src = _neighbor_counts(colors, src, ci, dst)
+                e_dst, ei_dst = _neighbor_counts(colors, dst, ci, src)
+                valid = e_src != 5 and allowed[mask]
+                deltas = move_deltas(mask, ring_colors, ci)
+                expected = (e_dst - e_src, ei_dst - ei_src) if valid else None
+                assert deltas == expected, (ring_values, ci, d)
+                assert MOVE_DELTA[mask] == (
+                    expected[0] if valid else _MOVE_REJECT
+                )
+
+                # Swap with a color-cj particle Q at ℓ′:
+                # |N_i(ℓ′)∖{P}| − |N_j(ℓ′)| − |N_i(ℓ)| + |N_j(ℓ)∖{Q}|.
+                cj = 1 - ci
+                colors[dst] = cj
+                expo = (
+                    _neighbor_counts(colors, dst, ci, src)[1]
+                    - _neighbor_counts(colors, dst, cj, None)[1]
+                    - _neighbor_counts(colors, src, ci, None)[1]
+                    + _neighbor_counts(colors, src, cj, dst)[1]
+                )
+                assert swap_exponent(ring_colors, ci, cj) == expo
+                contrib = gswap_contrib[ci + 1][cj + 1]
+                arena = [0 if c is None else c + 1 for c in ring_colors]
+                assert (
+                    sum(contrib[arena[i]] for i in (1, 2, 3))
+                    - sum(contrib[arena[i]] for i in (5, 6, 7))
+                    == expo
+                )

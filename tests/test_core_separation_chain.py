@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.energy import EnergyChain, SeparationEnergy
 from repro.core.separation_chain import (
     E_DST,
     E_SRC,
@@ -17,6 +18,9 @@ from repro.core.separation_chain import (
     evaluate_swap,
     stationary_log_weight,
 )
+from repro.distributed.amoebot import AmoebotSimulator
+from repro.distributed.faults import FaultyRunner
+from repro.distributed.runner import ConcurrentRunner, DistributedRunner
 from repro.lattice.triangular import NEIGHBOR_OFFSETS, edge_ring
 from repro.system.initializers import (
     hexagon_system,
@@ -252,9 +256,52 @@ class TestBatchedRun:
         assert rng.draws <= 3 * 200
 
 
+def _run_chain(system, lam, gamma, steps):
+    chain = SeparationChain(system, lam=lam, gamma=gamma, seed=1)
+    chain.run(steps)
+    for _ in range(100):
+        chain.step()
+
+
+def _run_amoebot(system, lam, gamma, steps):
+    sim = AmoebotSimulator(system, lam=lam, gamma=gamma, seed=1)
+    sim.run(steps)
+    sim.settle()
+
+
+#: Every executor of Algorithm 1, as ``run(system, lam, gamma, steps)``.
+EXECUTORS = {
+    "SeparationChain": _run_chain,
+    "EnergyChain": lambda system, lam, gamma, steps: EnergyChain(
+        system, SeparationEnergy(lam, gamma), seed=1
+    ).run(steps),
+    "FaultyRunner": lambda system, lam, gamma, steps: FaultyRunner(
+        system, lam, gamma, crash_fraction=0.1, seed=1
+    ).run(steps),
+    "AmoebotSimulator": _run_amoebot,
+    "DistributedRunner": lambda system, lam, gamma, steps: DistributedRunner(
+        system, lam, gamma, seed=1
+    ).run(steps),
+    "ConcurrentRunner": lambda system, lam, gamma, steps: ConcurrentRunner(
+        system, lam, gamma, round_size=4, seed=1
+    ).run(steps // 4),
+}
+
+
 class TestExtremeBiases:
     """Regression: power tables must clamp instead of raising at
-    construction for extreme-but-valid biases (large-γ limit probes)."""
+    construction for extreme-but-valid biases (large-γ limit probes),
+    and every executor must stay total at such biases."""
+
+    @pytest.mark.parametrize(
+        "lam,gamma",
+        [(1e200, 2.0), (1e-200, 2.0), (2.0, 1e200), (2.0, 1e-200), (1e200, 1e-200)],
+    )
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_every_executor_stays_total(self, executor, lam, gamma):
+        system = random_blob_system(30, seed=1)
+        EXECUTORS[executor](system, lam, gamma, 2000)
+        system.validate()
 
     def test_huge_gamma_constructs_and_steps(self):
         system = hexagon_system(20, seed=1)

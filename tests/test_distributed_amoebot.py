@@ -1,8 +1,12 @@
 """Tests for the expand/contract-level amoebot simulator."""
 
+import random
+
 import pytest
 
+from repro.analysis.estimators import batch_means_error
 from repro.distributed.amoebot import AmoebotSimulator
+from repro.markov.exact import ExactChainAnalysis
 from repro.system.initializers import hexagon_system, random_blob_system
 from repro.system.observables import color_counts
 
@@ -109,3 +113,36 @@ class TestEmergentBehavior:
         sim = AmoebotSimulator(system, lam=3, gamma=3, swaps=False, seed=8)
         sim.run(5_000)
         assert sim.accepted_swaps == 0
+
+
+class TestStationaryDistribution:
+    def test_contract_at_once_matches_exact_pi(self):
+        """Sequential amoebot execution samples Lemma 9's π.
+
+        Contract-at-once mode: activate a uniformly chosen particle and,
+        if it expanded, activate it again at once.  That is one step of
+        the chain M, so E[h] and E[p] must match the exact stationary
+        expectations at n = 5 within 4 batch-means standard errors.
+        """
+        lam, gamma = 2.0, 0.5
+        analysis = ExactChainAnalysis(5, [3, 2], lam=lam, gamma=gamma)
+        exact_h = analysis.expected_observable(
+            [s.hetero_total for s in analysis.states]
+        )
+        exact_p = analysis.expected_observable(
+            [s.perimeter() for s in analysis.states]
+        )
+        system = hexagon_system(5, counts=[3, 2], seed=0)
+        sim = AmoebotSimulator(system, lam=lam, gamma=gamma, seed=0)
+        schedule = random.Random(0)
+        hetero, perimeter = [], []
+        for k in range(300_000):
+            pid = int(schedule.random() * system.n)
+            if sim.activate(pid) == "expanded":
+                sim.activate(pid)
+            if k % 10 == 9:
+                hetero.append(system.hetero_total)
+                perimeter.append(system.perimeter())
+        for samples, exact in ((hetero, exact_h), (perimeter, exact_p)):
+            mean, error = batch_means_error(samples)
+            assert abs(mean - exact) < 4 * error, (mean, exact, error)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.separation_chain import SeparationChain
 from repro.distributed.faults import FaultyRunner, degradation_curve
 from repro.system.initializers import hexagon_system, random_blob_system
 from repro.system.observables import color_counts
@@ -69,6 +70,29 @@ class TestFaultyDynamics:
         # Half the particles are crashed: roughly half the activations
         # are wasted.
         assert 0.35 < runner.crashed_activations / runner.iterations < 0.65
+
+
+class TestMatchesChain:
+    @pytest.mark.parametrize("lam,gamma", [(4, 4), (2, 0.5), (0.7, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_crash_runner_is_the_chain(self, seed, lam, gamma):
+        """With nothing crashed, FaultyRunner is Algorithm 1 draw for draw."""
+        runner_system = random_blob_system(40, seed=seed)
+        chain_system = runner_system.copy()
+        runner = FaultyRunner(runner_system, lam, gamma, seed=seed)
+        chain = SeparationChain(
+            chain_system, lam, gamma, seed=seed, backend="dict"
+        )
+        for _ in range(10_000):
+            assert runner.step() == chain.step()
+        assert list(runner_system.colors.items()) == list(
+            chain_system.colors.items()
+        )
+        assert runner_system.edge_total == chain_system.edge_total
+        assert runner_system.hetero_total == chain_system.hetero_total
+        assert runner.accepted_moves == chain.accepted_moves
+        assert runner.accepted_swaps == chain.accepted_swaps
+        assert runner.rng.getstate() == chain.rng.getstate()
 
 
 class TestDegradation:
