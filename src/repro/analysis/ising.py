@@ -27,6 +27,8 @@ import math
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.moves import _clamped_power
+
 Node = object
 EdgeT = Tuple[int, int]  # indices into the node list
 
@@ -152,9 +154,17 @@ def ising_partition_function_high_temperature(
 def coloring_weight(
     edges: Sequence[EdgeT], coloring: Sequence[int], gamma: float
 ) -> float:
-    """:math:`\\gamma^{-h}` for a 2-coloring of a fixed shape."""
-    hetero = sum(1 for u, v in edges if coloring[u] != coloring[v])
-    return gamma ** (-hetero)
+    """:math:`\\gamma^{-h}` for a 2-coloring of a fixed shape.
+
+    Overflow clamps to ``math.inf`` (and underflow goes to ``0.0``), so
+    extreme-but-valid γ never raises.
+    """
+    return _clamped_power(gamma, -_hetero(edges, coloring))
+
+
+def _hetero(edges: Sequence[EdgeT], coloring: Sequence[int]) -> int:
+    """Number of heterogeneous edges h of ``coloring``."""
+    return sum(1 for u, v in edges if coloring[u] != coloring[v])
 
 
 def fixed_counts_color_distribution(
@@ -170,18 +180,30 @@ def fixed_counts_color_distribution(
     analyzed in Theorems 14 and 16 (an Ising model at fixed
     magnetization).  Returns a map from coloring tuples (color of node i
     at position i) to probability.
+
+    Weights are normalized in log space: each coloring's log-weight
+    :math:`-h \\ln \\gamma` is shifted by the largest one (that of the
+    fewest heterogeneous edges for γ ≥ 1, of the most for γ < 1), so
+    every exponentiated weight lies in (0, 1] with at least one equal to
+    1, and the distribution stays finite and normalized at any γ > 0.
     """
     if not 0 <= count_color1 <= num_nodes:
         raise ValueError(
             f"count_color1={count_color1} out of range for {num_nodes} nodes"
         )
     edge_list = _normalize_edges(num_nodes, edges)
-    weights: Dict[Tuple[int, ...], float] = {}
+    log_gamma = math.log(gamma)
+    log_weights: Dict[Tuple[int, ...], float] = {}
     for ones in combinations(range(num_nodes), count_color1):
         coloring = [0] * num_nodes
         for index in ones:
             coloring[index] = 1
-        weights[tuple(coloring)] = coloring_weight(edge_list, coloring, gamma)
+        log_weights[tuple(coloring)] = -_hetero(edge_list, coloring) * log_gamma
+    top = max(log_weights.values())
+    weights = {
+        coloring: math.exp(log_weight - top)
+        for coloring, log_weight in log_weights.items()
+    }
     total = sum(weights.values())
     return {coloring: weight / total for coloring, weight in weights.items()}
 
@@ -198,7 +220,6 @@ def expected_heterogeneous_edges(
         num_nodes, edge_list, count_color1, gamma
     )
     return sum(
-        probability
-        * sum(1 for u, v in edge_list if coloring[u] != coloring[v])
+        probability * _hetero(edge_list, coloring)
         for coloring, probability in distribution.items()
     )

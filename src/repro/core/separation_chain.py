@@ -241,15 +241,13 @@ class SeparationChain:
         self._obs_logger: Optional["JsonLogger"] = None
         self._obs_diag = None
         self._obs_active = False
-        # Mid-run durability hook (see set_state_hook): called at
-        # segment boundaries once at least _state_every iterations have
-        # passed since the last emission.  Never touches the RNG
-        # stream; the only side effect inside the chain is an early
-        # dict write-back at emission points (order-identical between
-        # runs sharing the same cadence).
+        # Mid-run durability hook (see set_state_hook): called at every
+        # multiple of _state_every iterations past _state_anchor.  Never
+        # touches the RNG stream; the only side effect inside the chain
+        # is an early (order-neutral) dict write-back at emission points.
         self._state_hook = None
         self._state_every = 0
-        self._state_last = 0
+        self._state_anchor = 0
 
     # ------------------------------------------------------------------
 
@@ -340,20 +338,19 @@ class SeparationChain:
 
         Accepts either an :class:`repro.obs.Instrumentation` bundle or
         the individual instruments.  Hooks fire once per :meth:`run`
-        call (never per step), record wall-time, throughput, and
-        counter deltas, and do not consume randomness — trajectories
-        stay bit-identical to uninstrumented runs.  Passing nothing
-        detaches all hooks.
+        or :meth:`run_until` call (never per step), record wall-time,
+        throughput, and counter deltas, and do not consume randomness —
+        trajectories stay bit-identical to uninstrumented runs.  Passing
+        nothing detaches all hooks.
 
         ``diagnostics`` attaches a streaming convergence monitor (see
         :class:`repro.obs.convergence.ChainDiagnostics`): :meth:`run`
         then samples the chain's incremental observables every
         ``diagnostics.config.stride`` iterations.  Sampling segments
-        the run at stride boundaries with a refill horizon that
-        reproduces the unsegmented draw-ahead exactly (scalar kernels)
-        or hooks the batch kernel's round loop (batch backend) — in
-        both cases trajectories *and the final RNG state* stay
-        bit-identical (regression tested).  A diagnostics object whose
+        the run at stride boundaries (scalar kernels; see
+        :meth:`_drive`) or hooks the batch kernel's round loop (batch
+        backend) — in both cases trajectories *and the final RNG state*
+        stay bit-identical (regression tested).  A diagnostics object whose
         sinks are unset inherits the chain's metrics/logger/trace.
         """
         if obs is not None:
@@ -399,35 +396,20 @@ class SeparationChain:
         one debug log event) — all outside the step loop, so the fast
         path and the RNG stream are untouched.
         """
-        if not self._obs_active:
-            self._run_steps(steps)
-            if self._state_hook is not None:
-                self._maybe_state_hook()
-            return self
-        trace = self._obs_trace
-        trace_start = trace.now() if trace is not None else 0.0
-        moves_before = self.accepted_moves
-        swaps_before = self.accepted_swaps
-        wall_start = time.perf_counter()
-        if self._obs_diag is not None:
-            self._run_diagnosed(steps)
-        else:
-            self._run_steps(steps)
-        elapsed = time.perf_counter() - wall_start
-        self._record_run(steps, elapsed, moves_before, swaps_before, trace_start)
-        if self._state_hook is not None:
-            self._maybe_state_hook()
+        self._drive(steps)
         return self
 
     def _record_run(
         self,
-        steps: int,
-        elapsed: float,
+        trace_start: float,
+        wall_start: float,
+        iterations_before: int,
         moves_before: int,
         swaps_before: int,
-        trace_start: float,
     ) -> None:
-        """Publish one run()'s worth of observability data (cold path)."""
+        """Publish one run's worth of observability data (cold path)."""
+        elapsed = time.perf_counter() - wall_start
+        steps = self.iterations - iterations_before
         delta_moves = self.accepted_moves - moves_before
         delta_swaps = self.accepted_swaps - swaps_before
         metrics = self._obs_metrics
@@ -465,127 +447,6 @@ class SeparationChain:
                 iterations=self.iterations,
             )
 
-    def _run_steps(self, steps: int) -> "SeparationChain":
-        """The uninstrumented run loop (reference + batched fast paths).
-
-        Dispatches between the flat-grid kernel and the dict kernel
-        according to the ``backend`` knob; both consume the RNG stream
-        identically, so the dispatch never affects the trajectory.
-        """
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        if self.backend == "batch":
-            return self._run_steps_batch(steps)
-        if not self._batch_rng:
-            step = self.step
-            for _ in range(steps):
-                step()
-            return self
-        if steps == 0:
-            return self
-        if self._state_hook is not None and self._state_every > 0:
-            return self._run_steps_hooked(steps)
-        if self._grid_enabled and (
-            self._grid_force or steps >= _GRID_MIN_STEPS
-        ):
-            return self._run_steps_grid(steps)
-        return self._run_steps_dict(steps)
-
-    def _run_steps_hooked(self, steps: int) -> "SeparationChain":
-        """Run ``steps`` iterations, firing the state hook on cadence.
-
-        A monolithic ``run()`` would only reach the hook at its outer
-        boundary — useless for a million-step cell that needs mid-run
-        durability (and blind to drain requests).  This segments the
-        run at ``_state_every`` boundaries with the same discipline as
-        :meth:`_run_diagnosed`: the kernel choice is made once from the
-        total step count, each segment passes the outer remaining count
-        as its refill ``horizon``, and the grid kernel's dict
-        write-back happens at emission points with absolute last-move
-        indices — so the trajectory, the RNG stream, and the final
-        dict insertion order are all bit-identical to an unsegmented
-        call.
-        """
-        use_grid = self._grid_enabled and (
-            self._grid_force or steps >= _GRID_MIN_STEPS
-        )
-        remaining = steps
-        while remaining > 0:
-            due = self._state_every - (self.iterations - self._state_last)
-            seg = min(remaining, max(due, 1))
-            if use_grid:
-                self._run_steps_grid(
-                    seg,
-                    horizon=remaining,
-                    sync=seg == remaining,
-                    sync_base=steps - remaining,
-                )
-            else:
-                self._run_steps_dict(seg, horizon=remaining)
-            remaining -= seg
-            if remaining > 0:
-                self._maybe_state_hook()
-        return self
-
-    def _run_diagnosed(self, steps: int) -> "SeparationChain":
-        """Run ``steps`` iterations with convergence sampling attached.
-
-        Segments the run at the diagnostics stride so samples land on
-        exact iteration boundaries, while keeping the trajectory — and
-        the final RNG state — bit-identical to an unsegmented run:
-
-        * The kernel choice (grid vs dict) is made **once** from the
-          total step count, because per-segment dispatch would hand
-          short tail segments to the dict kernel and change the final
-          colors-dict insertion order.
-        * Each segment passes the outer remaining step count as its
-          refill ``horizon``, so the draw-ahead buffer evolves exactly
-          as in one big call (the refill trigger depends only on
-          buffer state, which then matches step for step).
-        * The batch backend is not segmented at all — chunking its
-          run() would shift proposal-stream refills — and relies on
-          the kernel's round-level observer hook instead, so its
-          samples land on round (not stride) boundaries.
-        """
-        diag = self._obs_diag
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        if self.backend == "batch":
-            return self._run_steps_batch(steps)
-        if not self._batch_rng:
-            step = self.step
-            done = 0
-            while done < steps:
-                seg = min(steps - done, diag.steps_until_tick(self.iterations))
-                for _ in range(seg):
-                    step()
-                done += seg
-                diag.observe_chain(self)
-            return self
-        use_grid = self._grid_enabled and (
-            self._grid_force or steps >= _GRID_MIN_STEPS
-        )
-        remaining = steps
-        while remaining > 0:
-            seg = min(remaining, diag.steps_until_tick(self.iterations))
-            if use_grid:
-                # Deferred sync: only the final segment pays the dict
-                # write-back; `sync_base` keeps last-move indices on
-                # the whole-run step axis (see _run_steps_grid).
-                self._run_steps_grid(
-                    seg,
-                    horizon=remaining,
-                    sync=seg == remaining,
-                    sync_base=steps - remaining,
-                )
-            else:
-                self._run_steps_dict(seg, horizon=remaining)
-            remaining -= seg
-            diag.observe_chain(self)
-            if self._state_hook is not None:
-                self._maybe_state_hook()
-        return self
-
     def run_until(self, max_steps: int, stop) -> str:
         """Run until ``stop`` is satisfied or ``max_steps`` exhaust.
 
@@ -596,14 +457,12 @@ class SeparationChain:
         ``"max_iterations"`` when the condition's hard cap fired first,
         or ``"budget"`` when ``max_steps`` ran out.
 
-        The scalar kernels keep the exact segmentation discipline of
-        :meth:`_run_diagnosed` — kernel choice made once, refill
-        ``horizon`` equal to the outer remaining count, dict write-back
-        deferred between stop checks — so an adaptive trajectory is a
-        bit-exact *prefix* of the fixed-budget trajectory on the same
-        RNG stream.  Stop conditions are evaluated on the diagnostics'
-        verdict cadence (``config.verdict_every`` samples), never more
-        often, because a full verdict walks every estimator.
+        This shares :meth:`run`'s segmented driver, so on the scalar
+        kernels an adaptive trajectory is a bit-exact *prefix* of the
+        fixed-budget trajectory on the same RNG stream.  Stop conditions
+        are evaluated on the diagnostics' verdict cadence
+        (``config.verdict_every`` samples), never more often, because a
+        full verdict walks every estimator.
 
         The batch backend is chunked at verdict-cadence boundaries
         instead; chunking shifts the proposal streams' refill points,
@@ -613,8 +472,7 @@ class SeparationChain:
         """
         from repro.obs.convergence import STOP_BUDGET, STOP_MAX_ITERATIONS
 
-        diag = self._obs_diag
-        if diag is None:
+        if self._obs_diag is None:
             raise RuntimeError(
                 "run_until requires convergence diagnostics; attach one "
                 "via instrument(diagnostics=...)"
@@ -630,111 +488,122 @@ class SeparationChain:
         cap_end = budget_end
         if stop.max_iterations and stop.max_iterations < budget_end:
             cap_end = max(self.iterations, stop.max_iterations)
-        cap = cap_end - self.iterations
         capped_reason = (
             STOP_MAX_ITERATIONS if cap_end < budget_end else STOP_BUDGET
         )
-        verdict_every = diag.config.verdict_every
+        return self._drive(cap_end - self.iterations, stop) or capped_reason
 
-        if self.backend == "batch":
-            check_every = diag.config.stride * verdict_every
-            remaining = cap
-            while remaining > 0:
-                seg = min(remaining, check_every)
-                self.run(seg)  # round-level observer samples inside
-                remaining -= seg
-                if remaining and self.iterations < stop.min_iterations:
-                    continue
-                reason = stop.satisfied(diag.summary(), self.iterations)
-                if reason is not None:
-                    return reason
-            return capped_reason
+    def _drive(self, steps: int, stop=None) -> Optional[str]:
+        """Advance ``steps`` iterations: the one segmented run loop.
 
-        if not self._batch_rng:
-            remaining = cap
-            step = self.step
-            while remaining > 0:
-                seg = min(
-                    remaining, diag.steps_until_tick(self.iterations)
-                )
-                for _ in range(seg):
-                    step()
-                remaining -= seg
-                diag.observe_chain(self)
-                if self._stop_check_due(diag, verdict_every, remaining):
-                    reason = stop.satisfied(diag.summary(), self.iterations)
-                    if reason is not None:
-                        return reason
-                if self._state_hook is not None:
-                    self._maybe_state_hook()
-            return capped_reason
+        Serves :meth:`run` and :meth:`run_until` on every backend.  The
+        kernel is picked **once** from the total step count — grid,
+        dict, the reference :meth:`step` loop for subclassed RNGs, or
+        batch — because per-segment dispatch would hand short tail
+        segments to the dict kernel.  The run is cut at every boundary
+        event in play:
 
-        use_grid = self._grid_enabled and (
-            self._grid_force or cap >= _GRID_MIN_STEPS
-        )
-        remaining = cap
-        since_sync = 0
-        while remaining > 0:
-            to_tick = diag.steps_until_tick(self.iterations)
-            seg = min(remaining, to_tick)
-            final = seg == remaining
-            # Predict whether this segment ends on a stop check: checks
-            # happen on the verdict cadence, and a diagnostics sample
-            # only lands when the segment reaches the stride boundary.
-            will_check = final or (
-                seg == to_tick
-                and (diag.samples + 1) % verdict_every == 0
-                and self.iterations + seg >= stop.min_iterations
+        * a diagnostics stride tick (scalar kernels), so samples land on
+          exact iteration boundaries; the batch kernel samples from its
+          round loop instead;
+        * the state hook coming due, so it fires at exactly its cadence;
+        * with ``stop``, a stop check: on the scalar kernels at every
+          ``verdict_every``-th sample, on the batch backend every
+          ``stride * verdict_every`` steps of this call.
+
+        Each scalar segment passes the outer remaining count as its
+        refill ``horizon``, so the draw-ahead buffer evolves exactly as
+        in one unsegmented call (the refill trigger depends only on
+        buffer state, which then matches step for step): trajectory and
+        final RNG state are bit-identical.  The grid kernel writes the
+        dict back once, on exit; ``sync_base`` keeps its last-move
+        indices increasing across segments, which is all the
+        write-back's sort needs to reproduce the unsegmented insertion
+        order (a state-hook emission may sync early — also order-neutral).
+
+        Returns the stop reason when ``stop`` is satisfied, else None.
+        With :meth:`instrument` attached, records one ``chain.run`` for
+        the whole call, with the steps actually executed.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be non-negative, got {steps}")
+        if self._obs_active:
+            trace = self._obs_trace
+            before = (
+                trace.now() if trace is not None else 0.0,
+                time.perf_counter(),
+                self.iterations,
+                self.accepted_moves,
+                self.accepted_swaps,
             )
-            if use_grid:
-                # Deferred sync between checks (as in _run_diagnosed);
-                # any segment that might return must write the dict
-                # back, with `sync_base` keeping last-move indices on
-                # the span since the previous sync.
-                self._run_steps_grid(
-                    seg,
-                    horizon=remaining,
-                    sync=will_check,
-                    sync_base=since_sync,
-                )
-                since_sync = 0 if will_check else since_sync + seg
+        diag = self._obs_diag
+        batch = self.backend == "batch"
+        scalar = not batch and self._batch_rng
+        grid = self._grid_enabled and (
+            self._grid_force or steps >= _GRID_MIN_STEPS
+        )
+        ticks = diag is not None and not batch
+        hooked = scalar and self._state_hook is not None
+        chunk = 0
+        if batch and stop is not None:
+            chunk = diag.config.stride * diag.config.verdict_every
+        reason = None
+        remaining = steps
+        while remaining > 0:
+            seg = remaining
+            if ticks:
+                seg = min(seg, diag.steps_until_tick(self.iterations))
+            if hooked:
+                every = self._state_every
+                to_hook = every - (self.iterations - self._state_anchor) % every
+                seg = min(seg, to_hook)
+            if chunk:
+                seg = min(seg, chunk)
+            samples = diag.samples if ticks else 0
+            if batch:
+                self._run_steps_batch(seg)
+            elif grid:
+                self._run_steps_grid(seg, remaining, steps - remaining)
+            elif scalar:
+                self._run_steps_dict(seg, remaining)
             else:
-                self._run_steps_dict(seg, horizon=remaining)
+                for _ in range(seg):
+                    self.step()
             remaining -= seg
-            diag.observe_chain(self)
-            if will_check and not final:
+            if ticks:
+                diag.observe_chain(self)
+            # Stop check before the hook: a snapshot is only ever taken
+            # where the run goes on, so a restore from it never steps
+            # past a point where the uninterrupted run stopped.
+            if stop is not None and (not remaining or (
+                self.iterations >= stop.min_iterations
+                and (chunk or (
+                    diag.samples > samples
+                    and diag.samples % diag.config.verdict_every == 0
+                ))
+            )):
                 reason = stop.satisfied(diag.summary(), self.iterations)
                 if reason is not None:
-                    return reason
-            if self._state_hook is not None and self._maybe_state_hook():
-                # The emission synced the dict early; restart the
-                # deferred-sync span so later write-backs sort their
-                # last-move indices against this new baseline.
-                since_sync = 0
-        if cap > 0:
-            reason = stop.satisfied(diag.summary(), self.iterations)
-            if reason is not None:
-                return reason
-        return capped_reason
+                    break
+            if hooked and seg == to_hook:
+                if grid:
+                    self._grid_sync()  # the hook may read chain.system
+                self._state_hook(self)
+        if grid and steps:
+            self._grid_sync()
+        if self._obs_active:
+            self._record_run(*before)
+        return reason
 
-    @staticmethod
-    def _stop_check_due(diag, verdict_every: int, remaining: int) -> bool:
-        """Whether a stop condition should be evaluated after a sample."""
-        return remaining == 0 or diag.samples % verdict_every == 0
-
-    def _run_steps_dict(
-        self, steps: int, horizon: Optional[int] = None
-    ) -> "SeparationChain":
+    def _run_steps_dict(self, steps: int, horizon: int) -> None:
         """The batched dict fast path (inlined step(); tests pin identity).
 
-        ``horizon`` widens the worst-case refill demand to a longer
-        enclosing run: passing the outer remaining step count makes a
-        sequence of segmented calls draw ahead exactly as one
-        ``run(horizon)`` would, so segmentation (used by the
-        convergence diagnostics) leaves the final RNG state
-        bit-identical too.
+        ``horizon`` widens the worst-case refill demand to the enclosing
+        run: passing the outer remaining step count makes a sequence of
+        segmented calls draw ahead exactly as one unsegmented call would,
+        so segmentation leaves the final RNG state bit-identical too.
         """
-        extra = 0 if horizon is None else horizon - steps
+        extra = horizon - steps
         self._grid_valid = False  # about to mutate the dict directly
         self._batch_valid = False
         system = self.system
@@ -878,13 +747,8 @@ class SeparationChain:
         self.accepted_swaps += accepted_swaps
         self._buffer = buffer
         self._buffer_pos = pos
-        return self
 
-    # ------------------------------------------------------------------
-    # Flat-grid kernel (integer-indexed arena backend)
-    # ------------------------------------------------------------------
-
-    def _run_steps_batch(self, steps: int) -> "SeparationChain":
+    def _run_steps_batch(self, steps: int) -> None:
         """Advance via the replica-batched NumPy kernel (R = 1).
 
         The kernel persists across run() calls so its proposal streams
@@ -898,8 +762,6 @@ class SeparationChain:
         :mod:`repro.core.batch_kernel` and the statistical-equivalence
         suite).
         """
-        if steps == 0:
-            return self
         from repro.core.batch_kernel import BatchKernel
 
         kernel = self._batch_kernel
@@ -925,7 +787,6 @@ class SeparationChain:
         self.accepted_moves += int(kernel.acc_moves[0]) - moves0
         self.accepted_swaps += int(kernel.acc_swaps[0]) - swaps0
         self._batch_sync()
-        return self
 
     def _batch_sync(self) -> None:
         """Write the batch kernel's replica 0 back into ``system``.
@@ -946,6 +807,10 @@ class SeparationChain:
         self.system.hetero_total = int(kernel.het[0])
         self._positions = positions
         self._grid_valid = False  # arena (if any) no longer mirrors the dict
+
+    # ------------------------------------------------------------------
+    # Flat-grid kernel (integer-indexed arena backend)
+    # ------------------------------------------------------------------
 
     def _grid_alloc(self, nodes: List[Node], values: List[int]) -> None:
         """(Re)build the arena around ``nodes`` with the current margin.
@@ -1085,13 +950,7 @@ class SeparationChain:
             rank[i] = new_rank
             last[i] = 0
 
-    def _run_steps_grid(
-        self,
-        steps: int,
-        horizon: Optional[int] = None,
-        sync: bool = True,
-        sync_base: int = 0,
-    ) -> "SeparationChain":
+    def _run_steps_grid(self, steps: int, horizon: int, sync_base: int) -> None:
         """The flat-grid batched run loop (bit-identical to the dict path).
 
         Pure integer indexing: particle slots hold arena ids, moves add
@@ -1099,20 +958,18 @@ class SeparationChain:
         precomputed integer offsets — no tuple construction, no
         hashing.  RNG consumption (index, direction, and q only when
         the bias ratio is below 1) mirrors the dict kernel draw for
-        draw.  The canonical dict is re-synced on exit.  ``horizon``
-        has the same segmented-refill semantics as in
-        :meth:`_run_steps_dict`.
+        draw.  ``horizon`` has the same segmented-refill semantics as
+        in :meth:`_run_steps_dict`.
 
-        ``sync=False`` defers the dict write-back: segmented callers
-        (the convergence diagnostics) sync only once, on the final
-        segment, because the between-segment observers read counters
-        rather than colors.  ``sync_base`` then offsets the recorded
-        last-move step indices by the steps already executed in the
-        enclosing run, so the deferred sync sorts by *absolute* step
-        of last move — reproducing the exact insertion order a single
-        unsegmented call would have produced.
+        The canonical dict is *not* written back here: the caller runs
+        :meth:`_grid_sync` once the run's segments are done, because
+        the between-segment observers read counters rather than colors.
+        ``sync_base`` offsets the recorded last-move step indices by the
+        steps already executed in the enclosing run, so the sync sorts
+        by step of last move across segments — reproducing the exact
+        insertion order a single unsegmented call would have produced.
         """
-        extra = 0 if horizon is None else horizon - steps
+        extra = horizon - steps
         last_base = sync_base + 1
         if not self._grid_valid:
             self._grid_build()
@@ -1264,9 +1121,6 @@ class SeparationChain:
         self.accepted_swaps += accepted_swaps
         self._buffer = buffer
         self._buffer_pos = pos
-        if sync:
-            self._grid_sync()
-        return self
 
     # ------------------------------------------------------------------
     # Exact per-proposal probabilities (used by repro.markov.exact)
@@ -1338,20 +1192,20 @@ class SeparationChain:
     def set_state_hook(self, hook, every: int = 0) -> None:
         """Attach a mid-run state-snapshot callback.
 
-        ``hook(chain)`` fires at segment boundaries (diagnostics-stride
-        ticks, stop-check points, and ``run()`` call boundaries) once at
-        least ``every`` iterations have passed since the last emission.
-        At every emission point the canonical colors dict has been
-        written back, so ``hook`` may call :meth:`export_state` and
-        serialize ``chain.system`` directly.
+        ``hook(chain)`` fires inside :meth:`run` and :meth:`run_until`
+        whenever the chain reaches a multiple of ``every`` iterations
+        counted from attachment (or from :meth:`restore_state`), whether
+        or not convergence diagnostics are attached: the run driver cuts
+        a segment there.  Where :meth:`run_until`'s stop condition is
+        met at such a point, the run returns without emitting.  At every
+        emission point the canonical colors dict has been written back,
+        so ``hook`` may call :meth:`export_state` and serialize
+        ``chain.system`` directly.
 
-        The hook never consumes randomness: trajectories, counters, and
-        the final RNG state are bit-identical between two runs with the
-        *same* cadence (one interrupted and restored, one not).  A run
-        with a different ``every`` — or none — may produce a different
-        final dict *insertion order* (the emission syncs the grid
-        kernel's write-back early), though never different occupancy,
-        counters, or RNG state.
+        The hook never consumes randomness and the early write-back is
+        order-neutral: trajectories, counters, the final dict insertion
+        order, and the final RNG state are bit-identical to a run with
+        any other cadence, or with no hook at all.
 
         Snapshots are supported on the scalar kernels with a stdlib
         ``random.Random`` stream only; the batch backend snapshots at
@@ -1364,19 +1218,7 @@ class SeparationChain:
             )
         self._state_hook = hook
         self._state_every = int(every) if hook is not None else 0
-        self._state_last = self.iterations
-
-    def _maybe_state_hook(self) -> bool:
-        """Fire the state hook if due; True when an emission happened."""
-        if self.iterations - self._state_last < self._state_every:
-            return False
-        if not self._batch_rng or self.backend == "batch":
-            return False
-        if self._grid_valid:
-            self._grid_sync()
-        self._state_last = self.iterations
-        self._state_hook(self)
-        return True
+        self._state_anchor = self.iterations
 
     def export_state(self) -> Dict[str, object]:
         """JSON-able mid-run chain state (everything but the system).
@@ -1463,7 +1305,7 @@ class SeparationChain:
         self._positions = positions
         self._grid_valid = False
         self._batch_valid = False
-        self._state_last = self.iterations
+        self._state_anchor = self.iterations
 
     def acceptance_rate(self) -> float:
         """Fraction of iterations that changed the configuration.

@@ -138,6 +138,26 @@ class TestFixedCountsDistribution:
         assert coloring_weight([(0, 1)], [0, 1], gamma=4.0) == 0.25
         assert coloring_weight([(0, 1)], [1, 1], gamma=4.0) == 1.0
 
+    def test_coloring_weight_clamps_at_extreme_gamma(self):
+        assert coloring_weight(SQUARE, [0, 1, 0, 1], gamma=1e-200) == math.inf
+        assert coloring_weight(SQUARE, [0, 1, 0, 1], gamma=1e200) == 0.0
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e200])
+    def test_total_at_extreme_gamma(self, gamma):
+        """All mass on the max-h colorings as γ → 0, min-h as γ → ∞."""
+        dist = fixed_counts_color_distribution(4, SQUARE, 2, gamma=gamma)
+        assert all(math.isfinite(p) for p in dist.values())
+        assert math.isclose(sum(dist.values()), 1.0)
+        hetero = {
+            coloring: sum(1 for u, v in SQUARE if coloring[u] != coloring[v])
+            for coloring in dist
+        }
+        pick = max if gamma < 1.0 else min
+        target = pick(hetero.values())
+        assert target == (4 if gamma < 1.0 else 2)
+        mass = sum(p for c, p in dist.items() if hetero[c] == target)
+        assert math.isclose(mass, 1.0)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             fixed_counts_color_distribution(3, TRIANGLE, 5, gamma=2.0)

@@ -11,10 +11,13 @@ from repro.core.separation_chain import SeparationChain
 from repro.experiments.parallel import CellTask, execute_cells
 from repro.experiments.recorder import RunRecorder
 from repro.obs import (
+    ChainDiagnostics,
+    DiagnosticsConfig,
     Instrumentation,
     JsonLogger,
     MetricsRegistry,
     ProgressReporter,
+    StopCondition,
     TraceRecorder,
     merge_records,
     read_jsonl,
@@ -425,9 +428,12 @@ class TestInstrumentation:
 
 
 class TestChainInstrumentation:
-    def _make_chain(self, seed=11, instrumented=False, obs=None):
+    def _make_chain(self, seed=11, instrumented=False, obs=None,
+                    backend="auto"):
         system = random_blob_system(24, seed=7)
-        chain = SeparationChain(system, lam=4.0, gamma=4.0, seed=seed)
+        chain = SeparationChain(
+            system, lam=4.0, gamma=4.0, seed=seed, backend=backend
+        )
         if instrumented:
             chain.instrument(obs)
         return chain
@@ -449,10 +455,12 @@ class TestChainInstrumentation:
         # And the RNG streams remain in lockstep afterwards.
         assert plain.rng.random() == wired.rng.random()
 
-    def test_metrics_recorded_per_run(self):
+    @pytest.mark.parametrize("backend", ["dict", "grid", "batch"])
+    def test_metrics_recorded_per_run(self, backend):
         metrics = MetricsRegistry()
         chain = self._make_chain(instrumented=True,
-                                 obs=Instrumentation(metrics=metrics))
+                                 obs=Instrumentation(metrics=metrics),
+                                 backend=backend)
         chain.run(800)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["chain.steps"] == 800.0
@@ -468,6 +476,32 @@ class TestChainInstrumentation:
         )
         rate = snapshot["gauges"]["chain.acceptance_rate"]
         assert rate == pytest.approx(chain.acceptance_rate())
+
+        # run_until records exactly one chain.run as well (not one per
+        # stop check), carrying the steps it actually executed.
+        obs = Instrumentation(
+            metrics=MetricsRegistry(),
+            logger=JsonLogger.collecting(),
+            trace=TraceRecorder(),
+        )
+        chain.instrument(
+            obs, diagnostics=ChainDiagnostics(DiagnosticsConfig(stride=100))
+        )
+        start = chain.iterations
+        chain.run_until(
+            20_000,
+            StopCondition(ess_target=5.0, geweke_max=50.0,
+                          min_iterations=2000),
+        )
+        executed = chain.iterations - start
+        assert 0 < executed < 20_000
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["counters"]["chain.steps"] == float(executed)
+        assert snapshot["histograms"]["chain.run_seconds"]["count"] == 1
+        spans = [e for e in obs.trace.events if e["name"] == "chain.run"]
+        assert [span["args"]["steps"] for span in spans] == [executed]
+        events = [r for r in obs.logger.records if r["event"] == "chain.run"]
+        assert [event["steps"] for event in events] == [executed]
 
     def test_trace_and_log_events(self):
         logger = JsonLogger.collecting()

@@ -41,7 +41,12 @@ from repro.experiments.resilience import (
     reset_drain,
     write_drain_manifest,
 )
-from repro.obs import Instrumentation, MetricsRegistry
+from repro.obs import (
+    ChainDiagnostics,
+    DiagnosticsConfig,
+    Instrumentation,
+    MetricsRegistry,
+)
 from repro.system.initializers import random_blob_system
 from repro.util import codec
 from repro.util.serialization import (
@@ -216,21 +221,35 @@ class TestChainStateRoundTrip:
         # permutations really do drift apart on a mixed run.
         assert positions == list(chain._positions)
 
-    def test_state_hook_is_trajectory_neutral(self):
-        plain = SeparationChain(
-            fresh_system(), lam=4.0, gamma=2.0, swaps=True, seed=7
-        )
+    @pytest.mark.parametrize(
+        "stride, every",
+        [(0, 500), (300, 700)],
+        ids=["no-diagnostics", "diag300-hook700"],
+    )
+    def test_state_hook_is_trajectory_neutral(self, stride, every):
+        def build():
+            chain = SeparationChain(
+                fresh_system(), lam=4.0, gamma=2.0, swaps=True, seed=7
+            )
+            diag = None
+            if stride:
+                diag = ChainDiagnostics(DiagnosticsConfig(stride=stride))
+                chain.instrument(diagnostics=diag)
+            return chain, diag
+
+        plain, plain_diag = build()
         plain.run(5000)
-        hooked = SeparationChain(
-            fresh_system(), lam=4.0, gamma=2.0, swaps=True, seed=7
-        )
+        hooked, hooked_diag = build()
         emissions = []
         hooked.set_state_hook(
-            lambda chain: emissions.append(chain.iterations), 500
+            lambda chain: emissions.append(chain.iterations), every
         )
         for segment in (1200, 1700, 2100):
             hooked.run(segment)
-        assert emissions == [500 * k for k in range(1, 11)]
+        # Exactly on the hook's own cadence, also between stride ticks.
+        assert emissions == [every * k for k in range(1, 5000 // every + 1)]
+        if stride:
+            assert hooked_diag.summary() == plain_diag.summary()
         assert hooked.iterations == plain.iterations
         assert hooked.accepted_moves == plain.accepted_moves
         assert hooked.accepted_swaps == plain.accepted_swaps
@@ -442,6 +461,33 @@ class TestWarmRestore:
             fault_spec=sigkill_fault(), **RETRY,
         )
         assert restored[0].restored_from is not None
+        assert restored[0].stop_reason == reference[0].stop_reason
+        assert restored[0].ess_at_stop == reference[0].ess_at_stop
+        assert result_signature(restored[0]) == result_signature(reference[0])
+
+    def test_adaptive_diagnosed_mid_stride_bit_identical(self, tmp_path):
+        """Snapshots between diagnostics ticks (every 700, stride 300)."""
+        from repro.obs import StopCondition
+
+        stop = StopCondition(
+            ess_target=5.0, geweke_max=50.0, min_iterations=2000
+        )
+        # seed0 distinct from the other sigkill tests (fault ledger key).
+        tasks = make_tasks(n=32, steps=300_000, checkpoints=(),
+                           gamma=4.0, seed0=140)
+        reference = execute_cells(
+            tasks, backend="serial", checkpoint_dir=tmp_path / "ref",
+            state_every=700, adaptive=stop,
+            obs=Instrumentation(diag_every=300),
+        )
+        restored = execute_cells(
+            tasks, backend="serial", checkpoint_dir=tmp_path / "int",
+            state_every=700, adaptive=stop,
+            obs=Instrumentation(diag_every=300),
+            fault_spec=sigkill_fault(), **RETRY,
+        )
+        # Killed after the second snapshot, which lands mid-stride.
+        assert restored[0].restored_from == 1400
         assert restored[0].stop_reason == reference[0].stop_reason
         assert restored[0].ess_at_stop == reference[0].ess_at_stop
         assert result_signature(restored[0]) == result_signature(reference[0])
